@@ -361,8 +361,9 @@ func TestPendingTrafficIsSnapshot(t *testing.T) {
 }
 
 // BenchmarkAccessRun measures the batched access path per engine touch
-// pattern — the inner loop of every simulated phase. CI runs these as
-// a smoke; the committed BENCH_sweep.json tracks the end-to-end number.
+// pattern — the inner loop of every simulated phase, and the only walk
+// the engine runs. CI runs these as a smoke; the repository benchmark
+// (perfbench, workload fig4-sweep) measures the end-to-end number.
 func BenchmarkAccessRun(b *testing.B) {
 	patterns := []patternSpec{
 		{name: "seq-dense", base: 1 << 32, stride: 16, span: 1 * units.MB},

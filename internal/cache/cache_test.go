@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -15,13 +17,18 @@ func TestSetAssocConstructionErrors(t *testing.T) {
 		ways       int
 	}{
 		{0, 64, 8}, {1024, 64, 0}, {1024, 0, 8},
-		{1024, 48, 8},     // line not power of two
-		{3 * 1024, 64, 8}, // sets not power of two (6 sets)
+		{1024, 48, 8},         // line not power of two
+		{3 * 1024, 64, 8},     // sets not power of two (6 sets)
+		{4 * 32 * 64, 64, 32}, // wider than the packed LRU order (4 sets)
 	}
 	for _, c := range cases {
 		if _, err := NewSetAssoc("x", c.size, c.ways, c.line); err == nil {
 			t.Errorf("NewSetAssoc(%d,%d,%d) succeeded, want error", c.size, c.ways, c.line)
 		}
+	}
+	_, err := NewSetAssoc("x", 4*32*64, 32, 64)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d-way limit", maxPackedWays)) {
+		t.Errorf("32-way NewSetAssoc error = %v, want it to name the %d-way limit", err, maxPackedWays)
 	}
 }
 

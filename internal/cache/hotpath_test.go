@@ -11,11 +11,13 @@ import (
 
 // hotPathFixture builds a flat-mode hierarchy over a page table shaped
 // like a real run's: coarse segment bindings for the heaps plus a
-// page-granular placed range inside the fast heap — so Access exercises
-// the radix lookup, the coarse fast path AND the default fallthrough.
-func hotPathFixture(t testing.TB) (*Hierarchy, *mem.Machine, []uint64) {
+// page-granular placed range inside the fast heap. It returns walk,
+// which drives one mixed batch through the engine's access path
+// (AccessRun/AccessRandomRun) so the radix lookup, the coarse fast
+// path and the default fallthrough are all exercised.
+func hotPathFixture(t testing.TB) (h *Hierarchy, m *mem.Machine, walk func()) {
 	t.Helper()
-	m := mem.DefaultKNL()
+	machine := mem.DefaultKNL()
 	pt := mem.NewPageTable(mem.TierDDR)
 	const seg = 256 << 20 // untyped: both address arithmetic and sizes
 	ddrBase := uint64(1) << 32
@@ -30,45 +32,38 @@ func hotPathFixture(t testing.TB) (*Hierarchy, *mem.Machine, []uint64) {
 	// online migration or partitioned placement produces).
 	pt.SetRange(ddrBase+64<<20, 16*units.MB, mem.TierMCDRAM)
 
-	h, err := NewHierarchy(&m, pt)
+	h, err := NewHierarchy(&machine, pt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A mixed reference stream: streaming through both segments plus
-	// random gathers, hitting radix pages, coarse pages and LLC alike.
+	// Each batch streams a fresh 256 KB window of both segments (line
+	// stride through DDR, sub-line stride through MCDRAM so same-line
+	// hits are booked in bulk) and gathers at random over the promoted
+	// range and the whole DDR segment, hitting radix pages, coarse
+	// pages and LLC alike. The window advances per call, so steady
+	// state keeps missing.
+	const window = 256 << 10
 	rng := xrand.New(7)
-	addrs := make([]uint64, 1<<16)
-	for i := range addrs {
-		switch i % 4 {
-		case 0:
-			addrs[i] = ddrBase + uint64(i*64)%seg
-		case 1:
-			addrs[i] = hbwBase + uint64(i*64)%seg
-		case 2:
-			addrs[i] = ddrBase + 64<<20 + rng.Uint64n(16<<20)&^63
-		default:
-			addrs[i] = ddrBase + rng.Uint64n(seg)&^63
-		}
+	var off uint64
+	walk = func() {
+		h.AccessRun(ddrBase+off, 64, window, window/64)
+		h.AccessRun(hbwBase+off, 16, window, window/16)
+		h.AccessRandomRun(ddrBase+64<<20, 16<<20, 4096, rng)
+		h.AccessRandomRun(ddrBase, seg, 4096, rng)
+		off = (off + window) % seg
 	}
-	return h, &m, addrs
+	return h, &machine, walk
 }
 
 // TestHierarchyAccessZeroAllocs pins the central claim of the hot-path
-// overhaul: walking a reference through L1/LLC/page-table/traffic does
+// overhaul: walking references through L1/LLC/page-table/traffic does
 // not allocate in steady state.
 func TestHierarchyAccessZeroAllocs(t *testing.T) {
-	h, _, addrs := hotPathFixture(t)
-	// Warm up caches and counters.
-	for _, a := range addrs {
-		h.Access(a)
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(10000, func() {
-		h.Access(addrs[i&(len(addrs)-1)])
-		i++
-	})
+	_, _, walk := hotPathFixture(t)
+	walk() // warm up caches and counters
+	allocs := testing.AllocsPerRun(100, walk)
 	if allocs != 0 {
-		t.Errorf("Hierarchy.Access allocates %.1f times per call, want 0", allocs)
+		t.Errorf("AccessRun/AccessRandomRun batch allocates %.1f times, want 0", allocs)
 	}
 }
 
@@ -79,20 +74,18 @@ func TestHierarchyAccessZeroAllocs(t *testing.T) {
 // observability layer must never break; if it fires, an emit path is
 // letting an event escape to the heap before the nil check.
 func TestAccessWithDisabledRecorderZeroAllocs(t *testing.T) {
-	h, _, addrs := hotPathFixture(t)
-	for _, a := range addrs {
-		h.Access(a)
-	}
+	_, _, walk := hotPathFixture(t)
+	walk()
 	var rec *obs.Recorder // every untraced run carries exactly this
 	i := 0
-	allocs := testing.AllocsPerRun(10000, func() {
-		h.Access(addrs[i&(len(addrs)-1)])
+	allocs := testing.AllocsPerRun(100, func() {
+		walk()
 		rec.EmitGate(obs.GateEvent{Epoch: i, Decision: obs.DecisionAccept, Moves: 1})
 		rec.EmitEpoch(obs.EpochEvent{Epoch: i, Refs: int64(i)})
 		i++
 	})
 	if allocs != 0 {
-		t.Errorf("Access + disabled recorder allocates %.1f times per call, want 0", allocs)
+		t.Errorf("access batch + disabled recorder allocates %.1f times, want 0", allocs)
 	}
 }
 
@@ -101,34 +94,13 @@ func TestAccessWithDisabledRecorderZeroAllocs(t *testing.T) {
 // them — a phase drain runs at every phase boundary of every simulated
 // run.
 func TestDrainPhaseZeroAllocs(t *testing.T) {
-	h, m, addrs := hotPathFixture(t)
-	for _, a := range addrs {
-		h.Access(a)
-	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		h.Access(addrs[0])
+	h, m, walk := hotPathFixture(t)
+	walk()
+	allocs := testing.AllocsPerRun(100, func() {
+		walk()
 		h.DrainPhase(m.Cores)
 	})
 	if allocs != 0 {
 		t.Errorf("DrainPhase allocates %.1f times per drain, want 0", allocs)
 	}
-}
-
-// BenchmarkAccessPath measures the innermost simulation loop — one
-// Access per simulated reference over the mixed stream — and reports
-// refs/sec. This is the figure the ROADMAP's "as fast as the hardware
-// allows" north star is graded on; BENCH_sweep.json tracks it across
-// PRs.
-func BenchmarkAccessPath(b *testing.B) {
-	h, m, addrs := hotPathFixture(b)
-	mask := len(addrs) - 1
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Access(addrs[i&mask])
-		if i&0xfffff == 0xfffff {
-			h.DrainPhase(m.Cores) // keep accumulators phase-shaped
-		}
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "refs/s")
 }

@@ -21,20 +21,19 @@ import "fmt"
 // itself on every access (the former hot spot of the whole simulator:
 // an MRU-ordered tag array pays an O(ways) copy per access). Tags are
 // therefore slot-indexed and never move once installed. The packed
-// form limits the fast path to 16 ways; wider caches (none of the
-// shipped machines) fall back to the classic MRU-ordered tag array.
+// form limits associativity to maxPackedWays; NewSetAssoc rejects
+// wider caches.
 type SetAssoc struct {
 	name      string
 	lineShift uint
 	setMask   uint64
 	ways      int
-	// tags is sets*ways entries; tag 0 means empty, stored tags are
-	// line-number+1. With order != nil entries are slot-indexed; in the
-	// wide-way fallback index 0 of a set is most recently used.
+	// tags is sets*ways slot-indexed entries; tag 0 means empty,
+	// stored tags are line-number+1.
 	tags []uint64
 	// order holds one packed LRU word per set: ways nibbles, the way
 	// index of the MRU way in bits 0-3 up to the LRU way in the top
-	// nibble. nil when ways > 16 (fallback path).
+	// nibble.
 	order     []uint64
 	orderMask uint64 // low 4*ways bits
 	initOrder uint64 // identity permutation, the post-Reset state
@@ -47,11 +46,15 @@ type SetAssoc struct {
 const maxPackedWays = 16
 
 // NewSetAssoc builds a cache of size bytes with the given associativity
-// and line size. size must be an exact multiple of ways*lineSize and
-// the resulting set count must be a power of two.
+// and line size. ways must not exceed maxPackedWays, size must be an
+// exact multiple of ways*lineSize and the resulting set count must be
+// a power of two.
 func NewSetAssoc(name string, size int64, ways int, lineSize int64) (*SetAssoc, error) {
 	if ways <= 0 || lineSize <= 0 || size <= 0 {
 		return nil, fmt.Errorf("cache %s: size, ways, lineSize must be positive", name)
+	}
+	if ways > maxPackedWays {
+		return nil, fmt.Errorf("cache %s: %d ways exceeds the %d-way limit of the packed LRU order", name, ways, maxPackedWays)
 	}
 	if lineSize&(lineSize-1) != 0 {
 		return nil, fmt.Errorf("cache %s: line size %d not a power of two", name, lineSize)
@@ -71,16 +74,14 @@ func NewSetAssoc(name string, size int64, ways int, lineSize int64) (*SetAssoc, 
 		setMask:   uint64(sets - 1),
 		ways:      ways,
 		tags:      make([]uint64, sets*int64(ways)),
+		orderMask: ^uint64(0) >> (64 - 4*uint(ways)),
+		order:     make([]uint64, sets),
 	}
-	if ways <= maxPackedWays {
-		c.orderMask = ^uint64(0) >> (64 - 4*uint(ways))
-		for w := 0; w < ways; w++ {
-			c.initOrder |= uint64(w) << (4 * uint(w))
-		}
-		c.order = make([]uint64, sets)
-		for i := range c.order {
-			c.order[i] = c.initOrder
-		}
+	for w := 0; w < ways; w++ {
+		c.initOrder |= uint64(w) << (4 * uint(w))
+	}
+	for i := range c.order {
+		c.order[i] = c.initOrder
 	}
 	return c, nil
 }
@@ -93,9 +94,6 @@ func (c *SetAssoc) Access(addr uint64) bool {
 	base := int(set) * c.ways
 	tag := line + 1
 	ts := c.tags[base : base+c.ways]
-	if c.order == nil {
-		return c.accessWide(ts, tag)
-	}
 	ord := c.order[set]
 	// MRU fast path: consecutive hits to a hot line skip the scan and
 	// leave the order word untouched.
@@ -123,23 +121,6 @@ func (c *SetAssoc) Access(addr uint64) bool {
 	victim := ord >> (4 * uint(c.ways-1))
 	ts[victim] = tag
 	c.order[set] = (ord<<4 | victim) & c.orderMask
-	c.misses++
-	return false
-}
-
-// accessWide is the ways>16 fallback: an MRU-ordered tag array shifted
-// with copy, exactly the pre-packed-LRU implementation.
-func (c *SetAssoc) accessWide(ts []uint64, tag uint64) bool {
-	for i, t := range ts {
-		if t == tag {
-			copy(ts[1:i+1], ts[:i])
-			ts[0] = tag
-			c.hits++
-			return true
-		}
-	}
-	copy(ts[1:], ts[:c.ways-1])
-	ts[0] = tag
 	c.misses++
 	return false
 }

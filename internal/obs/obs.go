@@ -11,14 +11,14 @@
 //   - Nil-safe: every method no-ops on a nil *Recorder, so call sites
 //     thread a recorder unconditionally and tracing costs one nil check
 //     when disabled.
-//   - Zero-overhead when disabled: the simulation hot path (one
-//     Hierarchy.Access per simulated reference) NEVER touches the
-//     recorder — events exist only at epoch boundaries, solver calls
-//     and sweep-cell lifecycle points, which are orders of magnitude
-//     rarer. The always-on counters snapshotted into Result.Metrics
-//     are plain int64 increments on structures the hot path already
-//     owns. Both halves are pinned by the AllocsPerRun guards in
-//     internal/cache.
+//   - Zero-overhead when disabled: the simulation hot path (the
+//     Hierarchy.AccessRun/AccessRandomRun walk of every simulated
+//     reference) NEVER touches the recorder — events exist only at
+//     epoch boundaries, solver calls and sweep-cell lifecycle points,
+//     which are orders of magnitude rarer. The always-on counters
+//     snapshotted into Result.Metrics are plain int64 increments on
+//     structures the hot path already owns. Both halves are pinned by
+//     the AllocsPerRun guards in internal/cache.
 //   - Deterministic: a trace is a pure function of the run
 //     configuration. encoding/json emits struct fields in declaration
 //     order and sorts map keys, sequence numbers are assigned at write

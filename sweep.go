@@ -41,7 +41,7 @@ type BaselineSpec struct {
 // way of running it — a full four-stage pipeline, a baseline
 // placement, or the online adaptive placer.
 type SweepPoint struct {
-	// Label tags the cell in results and BENCH_sweep.json rows.
+	// Label tags the cell in results, trace events and metric dumps.
 	Label    string
 	Workload *Workload
 
@@ -85,8 +85,8 @@ type SweepResult struct {
 	// distinct profile, not per cell.
 	ProfileWall time.Duration
 	// Refs is the number of simulated memory references of the final
-	// run — the numerator of the refs/sec throughput BENCH_sweep.json
-	// tracks.
+	// run (SimulatedRefs of Run) — the numerator of a refs/sec
+	// throughput over Wall.
 	Refs int64
 	// Err is this cell's failure, nil for a healthy cell. A failed
 	// cell never takes the sweep down: a recovered panic lands here as
