@@ -486,16 +486,7 @@ func AdviseObserved(prof *ObjectProfile, budget int64, strat Strategy, rec *Flig
 	if prof == nil {
 		return nil, fmt.Errorf("hybridmem: nil profile")
 	}
-	return advisor.AdviseObserved(prof.App, advisor.FromProfile(prof), advisor.TwoTier(budget), strat, rec)
-}
-
-// AdviseHierarchyObserved is AdviseHierarchy with a flight recorder
-// attached; see AdviseObserved.
-func AdviseHierarchyObserved(prof *ObjectProfile, mc MemoryConfig, strat Strategy, rec *FlightRecorder) (*PlacementReport, error) {
-	if prof == nil {
-		return nil, fmt.Errorf("hybridmem: nil profile")
-	}
-	return advisor.AdviseObserved(prof.App, advisor.FromProfile(prof), mc, strat, rec)
+	return advisor.AdviseCtx(context.Background(), prof.App, advisor.FromProfile(prof), advisor.TwoTier(budget), strat, rec)
 }
 
 // TwoTier returns the classic MCDRAM+DDR advisor configuration with
@@ -541,26 +532,6 @@ func AdviseHierarchy(prof *ObjectProfile, mc MemoryConfig, strat Strategy) (*Pla
 		return nil, fmt.Errorf("hybridmem: nil profile")
 	}
 	return advisor.Advise(prof.App, advisor.FromProfile(prof), mc, strat)
-}
-
-// AdviseHierarchyTimeAware is AdviseTimeAware over an arbitrary
-// hierarchy: per-tier peak-concurrent-footprint packing.
-func AdviseHierarchyTimeAware(prof *ObjectProfile, mc MemoryConfig, strat Strategy) (*PlacementReport, error) {
-	if prof == nil {
-		return nil, fmt.Errorf("hybridmem: nil profile")
-	}
-	return advisor.AdviseTimeAware(prof.App, advisor.FromProfileTimed(prof), mc, strat)
-}
-
-// AdviseHierarchyPartitioned is AdvisePartitioned over an arbitrary
-// hierarchy: whole-or-hot-range packing on the fastest tier, plain
-// waterfall below it.
-func AdviseHierarchyPartitioned(prof *ObjectProfile, tr *Trace, mc MemoryConfig, strat Strategy) (*PlacementReport, error) {
-	if prof == nil {
-		return nil, fmt.Errorf("hybridmem: nil profile")
-	}
-	hot := paramedir.AnalyzeHotRanges(prof, tr)
-	return advisor.AdvisePartitioned(prof.App, advisor.FromProfile(prof), hot, mc, strat)
 }
 
 // AdviseTimeAware is the liveness-aware variant of Advise suggested in
@@ -902,17 +873,6 @@ func (cfg *PipelineConfig) profileConfig() ProfileConfig {
 // Pipeline and the sweep engine so a memoized-profile sweep cannot
 // drift from the serial path.
 func adviseAndExecute(w *Workload, cfg PipelineConfig, tr *Trace, profRun *RunResult, prof *ObjectProfile) (*PipelineResult, error) {
-	return adviseAndExecuteWarm(w, cfg, tr, profRun, prof, nil)
-}
-
-// adviseAndExecuteWarm is adviseAndExecute with the advisor's
-// incremental re-solve seam: the sweep engine passes the WarmState it
-// keeps per memoized profile, so adjacent budget/strategy cells reuse
-// each other's sorted orders and exact-solver floors. Warm-starting
-// only prunes — reports stay byte-identical to the cold path — so the
-// sweep's bit-identical-to-serial contract is untouched. The
-// time-aware advisors have no warm seam and always run cold.
-func adviseAndExecuteWarm(w *Workload, cfg PipelineConfig, tr *Trace, profRun *RunResult, prof *ObjectProfile, ws *advisor.WarmState) (*PipelineResult, error) {
 	ctx := cfg.ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -928,17 +888,16 @@ func adviseAndExecuteWarm(w *Workload, cfg PipelineConfig, tr *Trace, profRun *R
 			strat = e
 		}
 	}
+	mc := advisor.TwoTier(cfg.Budget)
+	if cfg.Memory != nil {
+		mc = *cfg.Memory
+	}
 	var rep *PlacementReport
 	var err error
-	switch {
-	case cfg.Memory != nil && cfg.TimeAware:
-		rep, err = AdviseHierarchyTimeAware(prof, *cfg.Memory, strat)
-	case cfg.Memory != nil:
-		rep, err = advisor.AdviseWarmCtx(ctx, prof.App, advisor.FromProfile(prof), *cfg.Memory, strat, ws, cfg.Obs)
-	case cfg.TimeAware:
-		rep, err = AdviseTimeAware(prof, cfg.Budget, strat)
-	default:
-		rep, err = advisor.AdviseWarmCtx(ctx, prof.App, advisor.FromProfile(prof), advisor.TwoTier(cfg.Budget), strat, ws, cfg.Obs)
+	if cfg.TimeAware {
+		rep, err = advisor.AdviseTimeAware(prof.App, advisor.FromProfileTimed(prof), mc, strat)
+	} else {
+		rep, err = advisor.AdviseCtx(ctx, prof.App, advisor.FromProfile(prof), mc, strat, cfg.Obs)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("hybridmem: advise stage: %w", err)

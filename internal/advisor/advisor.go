@@ -20,6 +20,7 @@ package advisor
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/callstack"
 	"repro/internal/paramedir"
@@ -64,8 +65,7 @@ func (s MissesStrategy) Name() string {
 
 // missesLess is the strategy's total packing order: descending miss
 // count, ties broken by ascending ID so every pair of distinct
-// candidates is strictly ordered (the property sortWarm's adjacent-pair
-// verification relies on).
+// candidates is strictly ordered.
 func missesLess(a, b *Object) bool {
 	if a.Misses != b.Misses {
 		return a.Misses > b.Misses
@@ -75,20 +75,12 @@ func missesLess(a, b *Object) bool {
 
 // Select implements Strategy.
 func (s MissesStrategy) Select(objs []Object, budget int64) []Object {
-	return s.SelectWarm(objs, budget, nil, "")
-}
-
-// SelectWarm implements WarmStrategy: identical selection to Select,
-// but the sorted order is cached in ws under slot and reused (after
-// verification) on the next solve of a similar instance.
-func (s MissesStrategy) SelectWarm(objs []Object, budget int64, ws *WarmState, slot string) []Object {
 	var total int64
 	for _, o := range objs {
 		total += o.Misses
 	}
 	cut := int64(s.Threshold / 100 * float64(total))
-	sorted := ws.sortWarm(s.Name()+"|"+slot, objs, missesLess)
-	return packGreedy(sorted, budget, func(o Object) bool {
+	return packGreedy(sortedBy(objs, missesLess), budget, func(o Object) bool {
 		return o.Misses > 0 && o.Misses >= cut
 	})
 }
@@ -114,14 +106,8 @@ func densityLess(a, b *Object) bool {
 }
 
 // Select implements Strategy.
-func (s DensityStrategy) Select(objs []Object, budget int64) []Object {
-	return s.SelectWarm(objs, budget, nil, "")
-}
-
-// SelectWarm implements WarmStrategy (see MissesStrategy.SelectWarm).
-func (s DensityStrategy) SelectWarm(objs []Object, budget int64, ws *WarmState, slot string) []Object {
-	sorted := ws.sortWarm(s.Name()+"|"+slot, objs, densityLess)
-	return packGreedy(sorted, budget, func(o Object) bool { return o.Misses > 0 })
+func (DensityStrategy) Select(objs []Object, budget int64) []Object {
+	return packGreedy(sortedBy(objs, densityLess), budget, func(o Object) bool { return o.Misses > 0 })
 }
 
 // FCFSStrategy packs in input order regardless of cost — the software
@@ -134,6 +120,13 @@ func (FCFSStrategy) Name() string { return "fcfs" }
 // Select implements Strategy.
 func (FCFSStrategy) Select(objs []Object, budget int64) []Object {
 	return packGreedy(append([]Object(nil), objs...), budget, func(Object) bool { return true })
+}
+
+// sortedBy returns a copy of objs sorted by less.
+func sortedBy(objs []Object, less func(a, b *Object) bool) []Object {
+	sorted := append([]Object(nil), objs...)
+	sort.SliceStable(sorted, func(i, j int) bool { return less(&sorted[i], &sorted[j]) })
+	return sorted
 }
 
 // packGreedy walks sorted candidates, taking each eligible object that

@@ -245,6 +245,11 @@ func TestReadReportErrors(t *testing.T) {
 		"bad misses":  "HMEM_ADVISOR\tx\nobject\tMC\ttrue\tzz\t2\tid\tsite\n",
 		"bad size":    "HMEM_ADVISOR\tx\nobject\tMC\ttrue\t1\tzz\tid\tsite\n",
 		"bad strateg": "HMEM_ADVISOR\tx\nstrategy\n",
+		"zero part":   "HMEM_ADVISOR\tx\nobject\tMC\ttrue\t1\t2\tid\tsite\t4096\t0\n",
+		"neg offset":  "HMEM_ADVISOR\tx\nobject\tMC\ttrue\t1\t2\tid\tsite\t-1\t4096\n",
+		"NaN ratio":   "HMEM_ADVISOR\tx\ndegraded\tdeadline\tdensity\t1\tNaN\n",
+		"stray CR":    "HMEM_ADVISOR\tx\nstrategy\ts\r\r\n",
+		"CR header":   "HMEM_ADVISOR\tx\r\r\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadReport(strings.NewReader(in)); err == nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/runerr"
@@ -116,20 +115,16 @@ type nTierCand struct {
 
 // NTierSolveStats is the flight recorder's view of one branch-and-
 // bound solve: nodes explored, subtrees cut by the LP-relaxation
-// bound, and the best objective found. Warm reports whether the solve
-// was seeded with a feasible prior solution, and WarmPruned counts the
-// subtrees that seed's floor cut (a subset of Pruned). RootBound is
-// the LP-relaxation bound of the whole instance — an upper bound on
-// the true optimum, valid even when the search overran, which is what
-// lets a degraded report carry a guaranteed objective-ratio bound.
+// bound, and the best objective found. RootBound is the LP-relaxation
+// bound of the whole instance — an upper bound on the true optimum,
+// valid even when the search overran, which is what lets a degraded
+// report carry a guaranteed objective-ratio bound.
 type NTierSolveStats struct {
-	Nodes      int64
-	Pruned     int64
-	Best       float64
-	Overrun    bool
-	Warm       bool
-	WarmPruned int64
-	RootBound  float64
+	Nodes     int64
+	Pruned    int64
+	Best      float64
+	Overrun   bool
+	RootBound float64
 }
 
 // SelectHierarchy implements HierarchyStrategy: branch-and-bound over
@@ -139,40 +134,19 @@ type NTierSolveStats struct {
 // first, so the first leaf reached is the greedy fit and every later
 // improvement tightens the bound.
 func (e ExactNTier) SelectHierarchy(objs []Object, tiers []TierConfig, def string) (map[string][]Object, error) {
-	sel, _, err := e.selectHierarchyStats(objs, tiers, def)
+	sel, _, err := e.selectHierarchy(context.Background(), objs, tiers, def)
 	return sel, err
 }
 
-// selectHierarchyStats is SelectHierarchy with search statistics — the
+// selectHierarchy is the cancelable solve with search statistics — the
 // stats are valid (and reported) even when the node budget overruns.
-func (e ExactNTier) selectHierarchyStats(objs []Object, tiers []TierConfig, def string) (map[string][]Object, NTierSolveStats, error) {
-	return e.selectHierarchyWarm(objs, tiers, def, nil, "")
-}
-
-// selectHierarchyWarm is selectHierarchyStats with the incremental
-// re-solve seam. When ws holds a previous assignment under slot that is
-// still feasible on the new instance, its objective value F is used as
-// a pruning floor: any subtree whose LP bound falls strictly below
-// F − slack provably contains no optimal leaf (the optimum is ≥ F
-// because F is achievable) and is cut without exploration. The floor
-// never touches the incumbent (best/found/bestAssign), so the DFS
-// visits the surviving leaves in the same order and keeps the same
-// argmax as a cold solve — warm output is byte-identical provided
-// distinct achievable objectives are separated by more than the
-// epsilon slack, which holds for the integral miss counts × perf
-// factors these instances carry (and is pinned by the equivalence
-// property test).
-func (e ExactNTier) selectHierarchyWarm(objs []Object, tiers []TierConfig, def string, ws *WarmState, slot string) (map[string][]Object, NTierSolveStats, error) {
-	return e.selectHierarchyWarmCtx(context.Background(), objs, tiers, def, ws, slot)
-}
-
-// selectHierarchyWarmCtx is the cancelable core. The DFS polls ctx
-// every ~64k nodes — cheap against the per-node bound computation —
-// and stops the search on cancellation or deadline. A deadline is
-// reported as a runerr.ErrCanceled wrapping context.DeadlineExceeded,
-// which the advise layer may treat as degradable exactly like a node
-// limit; a plain cancellation always propagates.
-func (e ExactNTier) selectHierarchyWarmCtx(ctx context.Context, objs []Object, tiers []TierConfig, def string, ws *WarmState, slot string) (map[string][]Object, NTierSolveStats, error) {
+// The DFS polls ctx every ~64k nodes — cheap against the per-node bound
+// computation — and stops the search on cancellation or deadline. A
+// deadline is reported as a runerr.ErrCanceled wrapping
+// context.DeadlineExceeded, which the advise layer may treat as
+// degradable exactly like a node limit; a plain cancellation always
+// propagates.
+func (e ExactNTier) selectHierarchy(ctx context.Context, objs []Object, tiers []TierConfig, def string) (map[string][]Object, NTierSolveStats, error) {
 	if len(tiers) < 2 {
 		return nil, NTierSolveStats{}, fmt.Errorf("advisor: exact solver needs at least two tiers, got %d", len(tiers))
 	}
@@ -243,47 +217,8 @@ func (e ExactNTier) selectHierarchyWarmCtx(ctx context.Context, objs []Object, t
 	found := false
 	rem := append([]int64(nil), caps...)
 	scratch := make([]int64, len(tiers))
-	var nodes, pruned, warmPruned int64
+	var nodes, pruned int64
 	var overrun, canceled bool
-
-	// Warm floor: replay the previous solve's assignment onto the new
-	// instance (objects it no longer knows stay on the default, tiers it
-	// named that vanished or became dominated fall back to the default)
-	// and check feasibility under the new capacities. Any feasible
-	// assignment's objective is a valid lower bound on the optimum. The
-	// slack absorbs floating-point summation error between this replay
-	// and the DFS's own accumulation of the same leaf; it must stay well
-	// below the separation between distinct achievable objectives.
-	var warmFloor float64
-	haveFloor := false
-	if prev := ws.solution(slot); prev != nil {
-		tierIdx := make(map[string]int, len(tiers))
-		for t, tc := range tiers {
-			tierIdx[tc.Name] = t
-		}
-		used := make([]int64, len(tiers))
-		feasible := true
-		floor := 0.0
-		for _, c := range cands {
-			ti := defIdx
-			if name, ok := prev[objs[c.idx].ID]; ok {
-				if t, known := tierIdx[name]; known && !dominated[t] {
-					ti = t
-				}
-			}
-			used[ti] += c.pages
-			if used[ti] > caps[ti] {
-				feasible = false
-				break
-			}
-			floor += float64(c.misses) * perf[ti]
-		}
-		if feasible {
-			warmFloor, haveFloor = floor, true
-		}
-	}
-	ws.countFloor(haveFloor)
-	warmSlack := 1e-9 + 1e-12*math.Abs(warmFloor)
 
 	// bound is the fractional-relaxation optimum of the suffix k..n-1
 	// against the remaining capacities: page-mass poured density-first
@@ -333,20 +268,9 @@ func (e ExactNTier) selectHierarchyWarmCtx(ctx context.Context, objs []Object, t
 			}
 			return
 		}
-		if found || haveFloor {
-			b := bound(k)
-			if found && cur+b <= best+1e-9 {
-				pruned++
-				return
-			}
-			// Strictly below the achievable floor: no leaf down here can
-			// be the optimum, and the margin keeps epsilon-close leaves
-			// alive so the incumbent race is untouched.
-			if haveFloor && cur+b < warmFloor-warmSlack {
-				pruned++
-				warmPruned++
-				return
-			}
+		if found && cur+bound(k) <= best+1e-9 {
+			pruned++
+			return
 		}
 		for t := range tiers {
 			if dominated[t] || rem[t] < cands[k].pages {
@@ -368,7 +292,7 @@ func (e ExactNTier) selectHierarchyWarmCtx(ctx context.Context, objs []Object, t
 	} else {
 		dfs(0, 0)
 	}
-	stats := NTierSolveStats{Nodes: nodes, Pruned: pruned, Overrun: overrun, Warm: haveFloor, WarmPruned: warmPruned, RootBound: rootBound}
+	stats := NTierSolveStats{Nodes: nodes, Pruned: pruned, Overrun: overrun, RootBound: rootBound}
 	if found {
 		stats.Best = best
 	}
@@ -379,16 +303,6 @@ func (e ExactNTier) selectHierarchyWarmCtx(ctx context.Context, objs []Object, t
 	if overrun {
 		return nil, stats, fmt.Errorf("%w: exceeded %d branch-and-bound nodes on %d objects × %d tiers; raise ExactNTier.MaxNodes",
 			ErrNodeLimit, maxNodes, n, len(tiers))
-	}
-
-	if ws != nil {
-		sol := make(map[string]string)
-		for ci, t := range bestAssign {
-			if t != defIdx {
-				sol[objs[cands[ci].idx].ID] = tiers[t].Name
-			}
-		}
-		ws.noteSolution(slot, sol)
 	}
 
 	// Reconstruct per-tier selections in input order, the ExactDP

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -272,35 +273,20 @@ type Report struct {
 // promoting them is valuable advice for a developer — but are flagged
 // so the interposer knows it cannot act on them.
 func Advise(app string, objs []Object, mc MemoryConfig, strat Strategy) (*Report, error) {
-	return AdviseObserved(app, objs, mc, strat, nil)
+	return AdviseCtx(context.Background(), app, objs, mc, strat, nil)
 }
 
-// AdviseObserved is Advise with a flight recorder attached: every
-// waterfall packing step emits one pack event, and the exact N-tier
-// solver reports its search statistics (nodes explored, LP-bound
-// cutoffs, best objective). A nil recorder is exactly Advise.
-func AdviseObserved(app string, objs []Object, mc MemoryConfig, strat Strategy, rec *obs.Recorder) (*Report, error) {
-	return AdviseWarm(app, objs, mc, strat, nil, rec)
-}
-
-// AdviseWarm is AdviseObserved with the incremental re-solve seam: a
-// non-nil WarmState carries solver context (sorted orders, previous
-// exact assignments) between adjacent advises of the same profile —
-// the sweep's budget cells, the online placer's epochs. Warm-starting
-// only prunes work; the returned report is byte-identical to the cold
-// AdviseObserved of the same inputs. A nil WarmState is exactly
-// AdviseObserved.
-func AdviseWarm(app string, objs []Object, mc MemoryConfig, strat Strategy, ws *WarmState, rec *obs.Recorder) (*Report, error) {
-	return AdviseWarmCtx(context.Background(), app, objs, mc, strat, ws, rec)
-}
-
-// AdviseWarmCtx is AdviseWarm under a context: the exact solver polls
-// ctx during its search, so a canceled context stops an advise
-// promptly with runerr.ErrCanceled, and a ctx deadline behaves like a
-// node-limit overrun — the non-Strict exact solver degrades to the
-// greedy waterfall and marks the report. The greedy strategies are
-// effectively instant and are not interrupted mid-knapsack.
-func AdviseWarmCtx(ctx context.Context, app string, objs []Object, mc MemoryConfig, strat Strategy, ws *WarmState, rec *obs.Recorder) (*Report, error) {
+// AdviseCtx is Advise under a context with a flight recorder attached.
+// The exact solver polls ctx during its search, so a canceled context
+// stops an advise promptly with runerr.ErrCanceled, and a ctx deadline
+// behaves like a node-limit overrun — the non-Strict exact solver
+// degrades to the greedy waterfall and marks the report. The greedy
+// strategies are effectively instant and are not interrupted
+// mid-knapsack. Every waterfall packing step emits one pack event, and
+// the exact N-tier solver reports its search statistics (nodes
+// explored, LP-bound cutoffs, best objective). A nil recorder records
+// nothing.
+func AdviseCtx(ctx context.Context, app string, objs []Object, mc MemoryConfig, strat Strategy, rec *obs.Recorder) (*Report, error) {
 	if err := mc.Validate(); err != nil {
 		return nil, err
 	}
@@ -315,18 +301,17 @@ func AdviseWarmCtx(ctx context.Context, app string, objs []Object, mc MemoryConf
 	// where the cascade below IS the exact problem and the strategy's
 	// one-knapsack seam reproduces the reference DP bit for bit.
 	if hs, ok := strat.(HierarchyStrategy); ok && !(len(tiers) == 2 && tiers[1].Name == def) {
-		return adviseHierarchyStrategy(ctx, app, objs, tiers, def, hs, ws, rec)
+		return adviseHierarchyStrategy(ctx, app, objs, tiers, def, hs, rec)
 	}
 
-	return waterfallCascade(app, objs, tiers, def, strat, ws, rec)
+	return waterfallCascade(app, objs, tiers, def, strat, rec)
 }
 
 // waterfallCascade is the per-tier greedy packing loop shared by the
-// plain-strategy path of AdviseWarm and the exact solver's
+// plain-strategy path of AdviseCtx and the exact solver's
 // degradation fallback: each tier's knapsack takes the best of what
 // the faster tiers rejected, and the overflow cascades down.
-func waterfallCascade(app string, objs []Object, tiers []TierConfig, def string, strat Strategy, ws *WarmState, rec *obs.Recorder) (*Report, error) {
-	wstrat, warmable := strat.(WarmStrategy)
+func waterfallCascade(app string, objs []Object, tiers []TierConfig, def string, strat Strategy, rec *obs.Recorder) (*Report, error) {
 	rep := &Report{App: app, Strategy: strat.Name(), Budget: tiers[0].Capacity}
 	var packed []TierBudget
 	remaining := append([]Object(nil), objs...)
@@ -338,14 +323,7 @@ func waterfallCascade(app string, objs []Object, tiers []TierConfig, def string,
 			break
 		}
 		budget := ClampBudget(remaining, tier.Capacity)
-		var chosen []Object
-		if warmable && ws != nil {
-			// One order cache slot per waterfall knapsack: the tier name
-			// keys it, the strategy prefixes its own name inside.
-			chosen = wstrat.SelectWarm(remaining, budget, ws, tier.Name)
-		} else {
-			chosen = strat.Select(remaining, budget)
-		}
+		chosen := strat.Select(remaining, budget)
 		if err := checkSelectionFits(strat.Name(), tier.Name, chosen, budget); err != nil {
 			return nil, err
 		}
@@ -375,20 +353,18 @@ func waterfallCascade(app string, objs []Object, tiers []TierConfig, def string,
 // calls, with identical report-shape rules — entries per non-default
 // tier in hierarchy order, default placements implicit, per-tier
 // budgets recorded for N-tier reports.
-func adviseHierarchyStrategy(ctx context.Context, app string, objs []Object, tiers []TierConfig, def string, hs HierarchyStrategy, ws *WarmState, rec *obs.Recorder) (*Report, error) {
+func adviseHierarchyStrategy(ctx context.Context, app string, objs []Object, tiers []TierConfig, def string, hs HierarchyStrategy, rec *obs.Recorder) (*Report, error) {
 	var sel map[string][]Object
 	var err error
 	if e, ok := hs.(ExactNTier); ok {
 		// The stats-carrying solve is the same search; the recorder gets
-		// its progress numbers even when the node budget overruns, and a
-		// warm state seeds the floor / remembers the new assignment.
+		// its progress numbers even when the node budget overruns.
 		var st NTierSolveStats
-		sel, st, err = e.selectHierarchyWarmCtx(ctx, append([]Object(nil), objs...), tiers, def, ws, "hierarchy")
+		sel, st, err = e.selectHierarchy(ctx, append([]Object(nil), objs...), tiers, def)
 		if rec != nil {
 			rec.EmitSolver(obs.SolverEvent{
 				Strategy: hs.Name(), Objects: len(objs), Tiers: len(tiers),
 				Nodes: st.Nodes, Pruned: st.Pruned, Best: st.Best, Overrun: st.Overrun,
-				Warm: st.Warm, WarmPruned: st.WarmPruned,
 			})
 		}
 		if err != nil && !e.Strict {
@@ -406,7 +382,7 @@ func adviseHierarchyStrategy(ctx context.Context, app string, objs []Object, tie
 			}
 			if reason != "" {
 				fallback := DensityStrategy{}
-				rep, ferr := waterfallCascade(app, objs, tiers, def, fallback, ws, rec)
+				rep, ferr := waterfallCascade(app, objs, tiers, def, fallback, rec)
 				if ferr != nil {
 					return nil, ferr
 				}
@@ -608,7 +584,10 @@ func (r *Report) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadReport parses a report written by Write.
+// ReadReport parses a report written by Write. It rejects what Write
+// could not reproduce — a line ending in a stray carriage return, a
+// NaN ratio bound, a partition with no size or a negative offset — so
+// every accepted report survives a Write/ReadReport round trip.
 func ReadReport(rd io.Reader) (*Report, error) {
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
@@ -616,13 +595,16 @@ func ReadReport(rd io.Reader) (*Report, error) {
 		return nil, fmt.Errorf("advisor: empty report")
 	}
 	head := strings.SplitN(sc.Text(), "\t", 2)
-	if len(head) != 2 || head[0] != "HMEM_ADVISOR" {
+	if len(head) != 2 || head[0] != "HMEM_ADVISOR" || strings.HasSuffix(head[1], "\r") {
 		return nil, fmt.Errorf("advisor: bad report header %q", sc.Text())
 	}
 	r := &Report{App: head[1]}
 	line := 1
 	for sc.Scan() {
 		line++
+		if strings.HasSuffix(sc.Text(), "\r") {
+			return nil, fmt.Errorf("advisor: line %d: stray carriage return", line)
+		}
 		f := strings.Split(sc.Text(), "\t")
 		switch f[0] {
 		case "strategy":
@@ -655,7 +637,7 @@ func ReadReport(rd io.Reader) (*Report, error) {
 				return nil, fmt.Errorf("advisor: line %d: bad degraded nodes", line)
 			}
 			ratio, err := strconv.ParseFloat(f[4], 64)
-			if err != nil {
+			if err != nil || math.IsNaN(ratio) {
 				return nil, fmt.Errorf("advisor: line %d: bad degraded ratio", line)
 			}
 			r.Degraded = &Degradation{Reason: f[1], Fallback: f[2], Nodes: nodes, RatioBound: ratio}
@@ -694,6 +676,12 @@ func ReadReport(rd io.Reader) (*Report, error) {
 				}
 				if e.PartSize, err = strconv.ParseInt(f[8], 10, 64); err != nil {
 					return nil, fmt.Errorf("advisor: line %d: bad partition size", line)
+				}
+				// Write emits the partition only when PartSize > 0, so a
+				// sizeless one would silently drop its offset.
+				if e.PartSize <= 0 || e.PartOffset < 0 {
+					return nil, fmt.Errorf("advisor: line %d: partition [%d,+%d) needs a positive size and a non-negative offset",
+						line, e.PartOffset, e.PartSize)
 				}
 			}
 			r.Entries = append(r.Entries, e)

@@ -32,7 +32,7 @@ type PolicyFactory func(mk *alloc.Memkind, prog *callstack.Program) (Policy, err
 
 // MetricsProvider is an optional Policy extension: a policy that keeps
 // its own always-on counters — the online placer's solver counters
-// (re-solves, warm-start hits, objects repacked) — exposes them here
+// (re-solves, objects repacked) — exposes them here
 // and the engine merges the snapshot into Result.Metrics at the end of
 // the run. Keys should be prefixed to avoid colliding with the
 // engine's own counter names.

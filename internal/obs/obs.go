@@ -112,22 +112,19 @@ type TierUsageEvent struct {
 // SolverEvent records one solver run (ev "solver"): an exact
 // branch-and-bound advise (nodes explored, LP-bound cutoffs, best
 // objective) or an online-placer epoch re-solve (greedy; Nodes stays
-// zero). Warm flags a solve seeded from a previous solution's state;
-// WarmPruned counts subtrees that seed's floor cut; Repacked counts
-// objects whose assigned tier changed relative to the previous solve.
+// zero). Repacked counts objects whose assigned tier changed relative
+// to the previous solve.
 type SolverEvent struct {
 	Header
-	Strategy   string  `json:"strategy"`
-	Objects    int     `json:"objects"`
-	Tiers      int     `json:"tiers"`
-	Nodes      int64   `json:"nodes"`
-	Pruned     int64   `json:"pruned"`
-	Best       float64 `json:"best_objective"`
-	Overrun    bool    `json:"overrun,omitempty"`
-	Warm       bool    `json:"warm,omitempty"`
-	WarmPruned int64   `json:"warm_pruned,omitempty"`
-	Epoch      int     `json:"epoch,omitempty"`
-	Repacked   int     `json:"repacked,omitempty"`
+	Strategy string  `json:"strategy"`
+	Objects  int     `json:"objects"`
+	Tiers    int     `json:"tiers"`
+	Nodes    int64   `json:"nodes"`
+	Pruned   int64   `json:"pruned"`
+	Best     float64 `json:"best_objective"`
+	Overrun  bool    `json:"overrun,omitempty"`
+	Epoch    int     `json:"epoch,omitempty"`
+	Repacked int     `json:"repacked,omitempty"`
 }
 
 // PackEvent records one waterfall packing step (ev "pack"): one tier's

@@ -207,17 +207,12 @@ type Policy struct {
 	demand map[mem.TierID]int64
 	window units.Cycles
 
-	// warm carries solver context between this policy's epochs: epoch
-	// N's sorted site order seeds epoch N+1's re-solve, so a stable
-	// heat ranking costs an O(n) verification instead of a sort.
-	// resolves/repacked/lastCands/lastWarm are the always-on solver
-	// counters surfaced through MetricsSnapshot and the per-epoch
-	// solver trace event.
-	warm      *advisor.WarmState
+	// resolves/repacked/lastCands are the always-on solver counters
+	// surfaced through MetricsSnapshot and the per-epoch solver trace
+	// event.
 	resolves  int64
 	repacked  int64
 	lastCands int
-	lastWarm  bool
 
 	overhead units.Cycles
 	stats    Stats
@@ -289,7 +284,6 @@ func New(mk *alloc.Memkind, prog *callstack.Program, opts Options) (*Policy, err
 		agg:      NewAggregator(opts.Decay),
 		assigned: make(map[string]mem.TierID),
 		usedBy:   make(map[mem.TierID]int64),
-		warm:     advisor.NewWarmState(),
 		stats:    Stats{LastMoveEpoch: -1},
 	}
 	for _, t := range hier {
@@ -575,16 +569,11 @@ func (p *Policy) UsedOn(tier mem.TierID) int64 { return p.usedBy[tier] }
 
 // MetricsSnapshot implements engine.MetricsProvider: the placer's
 // always-on solver counters, merged into Result.Metrics at the end of
-// the run. solver_warm_hits/misses count epoch re-solves that reused
-// the previous epoch's sorted order vs. ones that had to cold-sort;
-// solver_objects_repacked counts committed site→tier changes across
-// all epochs.
+// the run. solver_objects_repacked counts committed site→tier changes
+// across all epochs.
 func (p *Policy) MetricsSnapshot() map[string]int64 {
-	ws := p.warm.Stats()
 	return map[string]int64{
 		"solver_resolves":         p.resolves,
-		"solver_warm_hits":        ws.OrderHits + ws.FloorHits,
-		"solver_warm_misses":      ws.OrderMisses + ws.FloorMisses,
 		"solver_objects_repacked": p.repacked,
 		"solver_panics":           p.stats.SolvePanics,
 	}
@@ -685,11 +674,10 @@ func (p *Policy) EpochEnd(info engine.EpochInfo) []engine.Migration {
 	if o := p.opts.Obs; o != nil {
 		// One solver event per epoch re-solve: the greedy waterfall
 		// expands no branch-and-bound nodes, so Nodes stays zero and the
-		// interesting numbers are the warm-order reuse and the churn the
-		// solve proposed.
+		// interesting number is the churn the solve proposed.
 		o.EmitSolver(obs.SolverEvent{
 			Strategy: p.opts.Strategy.Name(), Objects: p.lastCands, Tiers: len(p.tiers),
-			Epoch: info.Index, Warm: p.lastWarm, Repacked: len(changed),
+			Epoch: info.Index, Repacked: len(changed),
 		})
 	}
 	misplaced := false
@@ -860,8 +848,6 @@ func (p *Policy) solve() ([]siteAssign, map[string]mem.TierID) {
 
 	p.resolves++
 	p.lastCands = len(objs)
-	before := p.warm.Stats()
-	wstrat, warmable := p.opts.Strategy.(advisor.WarmStrategy)
 
 	var ordered []siteAssign
 	next := make(map[string]mem.TierID)
@@ -871,15 +857,7 @@ func (p *Policy) solve() ([]siteAssign, map[string]mem.TierID) {
 		if b, capped := p.budgets[t.ID]; capped {
 			cap = b
 		}
-		var chosen []advisor.Object
-		if warmable {
-			// Epoch N's sorted order warm-starts epoch N+1; the tier name
-			// slots one order cache per waterfall knapsack. Selection is
-			// byte-identical to the cold Select.
-			chosen = wstrat.SelectWarm(remaining, advisor.ClampBudget(remaining, cap), p.warm, t.Name)
-		} else {
-			chosen = p.opts.Strategy.Select(remaining, advisor.ClampBudget(remaining, cap))
-		}
+		chosen := p.opts.Strategy.Select(remaining, advisor.ClampBudget(remaining, cap))
 		inChosen := make(map[string]bool, len(chosen))
 		for _, o := range chosen {
 			inChosen[o.ID] = true
@@ -894,8 +872,6 @@ func (p *Policy) solve() ([]siteAssign, map[string]mem.TierID) {
 		}
 		remaining = keep
 	}
-	after := p.warm.Stats()
-	p.lastWarm = after.OrderMisses == before.OrderMisses && after.OrderHits > before.OrderHits
 	return ordered, next
 }
 

@@ -165,7 +165,7 @@ func AdviseCtx(ctx context.Context, prof *ObjectProfile, budget int64, strat Str
 	if prof == nil {
 		return nil, fmt.Errorf("hybridmem: nil profile")
 	}
-	return advisor.AdviseWarmCtx(ctx, prof.App, advisor.FromProfile(prof), advisor.TwoTier(budget), strat, nil, nil)
+	return advisor.AdviseCtx(ctx, prof.App, advisor.FromProfile(prof), advisor.TwoTier(budget), strat, nil)
 }
 
 // AdviseHierarchyCtx is AdviseHierarchy under a context; see
@@ -174,5 +174,5 @@ func AdviseHierarchyCtx(ctx context.Context, prof *ObjectProfile, mc MemoryConfi
 	if prof == nil {
 		return nil, fmt.Errorf("hybridmem: nil profile")
 	}
-	return advisor.AdviseWarmCtx(ctx, prof.App, advisor.FromProfile(prof), mc, strat, nil, nil)
+	return advisor.AdviseCtx(ctx, prof.App, advisor.FromProfile(prof), mc, strat, nil)
 }

@@ -23,7 +23,6 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/advisor"
 	"repro/internal/advisord"
 	"repro/internal/engine"
 	"repro/internal/faultinject"
@@ -130,17 +129,10 @@ type SweepOptions struct {
 }
 
 // profiled is the memoized Stage 1+2 artifact of a pipeline cell.
-// warm travels with the artifact: every cell sharing the profile
-// advises over the SAME candidate set, so one cell's sorted order (and
-// the exact solver's previous assignment) warm-starts the next cell's
-// solve. Warm-starting only prunes — cell reports stay byte-identical
-// to cold solves — so sharing it across the worker pool cannot break
-// the sweep's bit-identical-to-serial contract.
 type profiled struct {
 	trace *Trace
 	run   *RunResult
 	prof  *ObjectProfile
-	warm  *advisor.WarmState
 	wall  time.Duration
 }
 
@@ -316,8 +308,7 @@ func RunSweepCtx(ctx context.Context, points []SweepPoint, opts SweepOptions) ([
 		if opts.Cache != nil {
 			if files, ok := opts.Cache.Get(key); ok {
 				if art, derr := advisord.DecodeProfileArtifact(files); derr == nil {
-					return &profiled{trace: art.Trace, run: art.Run, prof: art.Profile,
-						warm: advisor.NewWarmState(), wall: time.Since(start)}, nil
+					return &profiled{trace: art.Trace, run: art.Run, prof: art.Profile, wall: time.Since(start)}, nil
 				}
 				// Checksums passed but the payload does not decode (e.g.
 				// an entry from an incompatible codec): drop it and
@@ -340,7 +331,7 @@ func RunSweepCtx(ctx context.Context, points []SweepPoint, opts SweepOptions) ([
 				_ = opts.Cache.Put(key, "profile", files)
 			}
 		}
-		return &profiled{trace: tr, run: profRun, prof: prof, warm: advisor.NewWarmState(), wall: time.Since(start)}, nil
+		return &profiled{trace: tr, run: profRun, prof: prof, wall: time.Since(start)}, nil
 	}
 	point := func(i, worker int, art *profiled) (SweepResult, error) {
 		p := cfgs[i]
@@ -380,17 +371,7 @@ func RunSweepCtx(ctx context.Context, points []SweepPoint, opts SweepOptions) ([
 			if cellObs != nil {
 				cfg.Obs = cellObs[i]
 			}
-			ws := art.warm
-			if _, hier := cfg.Strategy.(advisor.HierarchyStrategy); hier && cellObs != nil {
-				// A traced exact cell emits solver events whose node and
-				// prune counts depend on which sharer solved first —
-				// scheduling — so the incumbent sharing is disabled under
-				// tracing to keep the stream byte-identical across worker
-				// counts. Greedy cells emit no warm-dependent event data
-				// and stay warm either way.
-				ws = nil
-			}
-			pr, err := adviseAndExecuteWarm(p.Workload, cfg, art.trace, art.run, art.prof, ws)
+			pr, err := adviseAndExecute(p.Workload, cfg, art.trace, art.run, art.prof)
 			if err != nil {
 				return res, fmt.Errorf("hybridmem: sweep %q: %w", p.Label, err)
 			}

@@ -168,15 +168,13 @@ func TestSweepRejectsMalformedPoints(t *testing.T) {
 	}
 }
 
-// TestSweepWarmInvariantAcrossWorkers pins the warm-start contract at
-// the sweep seam: cells sharing a memoized profile also share a
-// WarmState, so which cell's solve warm-starts which depends entirely
-// on worker scheduling — and must therefore never show in results.
-// The grid mixes exact-solver and greedy cells over several budgets of
-// one N-tier profile (maximal warm sharing) and requires every run and
-// advisor report to be byte-identical across worker counts AND to the
-// serial (cold) Pipeline of the same cell.
-func TestSweepWarmInvariantAcrossWorkers(t *testing.T) {
+// TestSweepNTierInvariantAcrossWorkers pins worker-count invariance for
+// N-tier advise cells: the grid mixes exact-solver and density cells
+// over several budgets of one N-tier profile (every cell shares the
+// memoized artifact) and requires every run and advisor report to be
+// byte-identical across worker counts AND to the serial Pipeline of
+// the same cell.
+func TestSweepNTierInvariantAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep grids are not -short")
 	}
@@ -211,7 +209,7 @@ func TestSweepWarmInvariantAcrossWorkers(t *testing.T) {
 		}
 		for i, p := range pts {
 			if !reflect.DeepEqual(res[i].Run, serial[i].Run) {
-				t.Errorf("workers=%d point %d (%s): run diverged from cold serial pipeline", workers, i, p.Label)
+				t.Errorf("workers=%d point %d (%s): run diverged from serial pipeline", workers, i, p.Label)
 			}
 			var a, b bytes.Buffer
 			if err := serial[i].Report.Write(&a); err != nil {
@@ -221,7 +219,7 @@ func TestSweepWarmInvariantAcrossWorkers(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(a.Bytes(), b.Bytes()) {
-				t.Errorf("workers=%d point %d (%s): warm report diverged from cold:\n--- cold ---\n%s\n--- warm ---\n%s",
+				t.Errorf("workers=%d point %d (%s): sweep report diverged from serial:\n--- serial ---\n%s\n--- sweep ---\n%s",
 					workers, i, p.Label, a.String(), b.String())
 			}
 		}
