@@ -209,7 +209,9 @@ func fig4SweepPoints(w *Workload) []SweepPoint {
 
 // BenchmarkSweepFigure4 runs one application's full Figure 4 grid
 // through the sweep engine: the profile is computed once, the 16
-// advise+execute cells and 4 baselines fan out across the worker pool.
+// advise cells and 4 baselines fan out across the worker pool, and
+// each distinct placement among the 16 is executed once (minife
+// advises 4).
 // Compare against BenchmarkSweepFigure4Serial — the naive loop that
 // re-profiles per cell — for the speedup the sweep engine buys; the
 // FOM metric pins that both produce the same physics.

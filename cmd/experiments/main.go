@@ -34,10 +34,10 @@
 //
 // The sweep-shaped modes (-fig 4, -online, -ntier, -numa) fan their
 // grids through the hm.RunSweep engine: the Profile/Analyze prefix is
-// computed once per distinct profiling configuration and the
-// advise+execute cells run across a GOMAXPROCS-wide worker pool
-// (-workers overrides), with results identical to the old serial
-// loops. -cpuprofile/-memprofile capture pprof profiles of whatever
+// computed once per distinct profiling configuration, the advise
+// cells run across a GOMAXPROCS-wide worker pool (-workers overrides)
+// and each distinct placement is executed once, with results identical
+// to the old serial loops. -cpuprofile/-memprofile capture pprof profiles of whatever
 // modes run.
 package main
 
@@ -368,7 +368,7 @@ func figure4(only string, scale float64) {
 // placements followed by the budget×strategy pipeline plane. Every
 // pipeline cell shares one memoized profile (same workload, machine,
 // seed and scale), so the grid costs one profiling run plus the
-// advise+execute fan-out.
+// advise fan-out and one production run per distinct placement.
 func fig4Grid(w *hm.Workload, scale float64) ([]hm.SweepPoint, []int64) {
 	m := hm.MachineFor(w)
 	cfg := scaled(hm.ExecuteConfig{Machine: m, Seed: 21}, scale)

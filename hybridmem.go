@@ -826,9 +826,10 @@ type PipelineResult struct {
 // When several pipeline runs share a workload and machine and differ
 // only in budget or strategy — the shape of every sweep in the
 // evaluation — use RunSweep instead: it computes the Profile/Analyze
-// prefix once per distinct profiling configuration and fans the
-// advise+execute cells across a worker pool, with results identical to
-// calling Pipeline in a loop.
+// prefix once per distinct profiling configuration, fans the advise
+// steps across a worker pool and executes each distinct placement once,
+// with results identical to calling Pipeline in a loop. A sweep's
+// PipelineResult.Run is SHARED by every cell of equal placement.
 func Pipeline(w *Workload, cfg PipelineConfig) (*PipelineResult, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -842,7 +843,17 @@ func Pipeline(w *Workload, cfg PipelineConfig) (*PipelineResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hybridmem: analyze stage: %w", err)
 	}
-	return adviseAndExecute(w, cfg, tr, profRun, prof)
+	rep, err := advise(cfg, prof)
+	if err != nil {
+		return nil, err
+	}
+	res, err := execute(w, cfg, rep)
+	if err != nil {
+		return nil, err
+	}
+	return &PipelineResult{
+		Trace: tr, ProfilingRun: profRun, Profile: prof, Report: rep, Run: res,
+	}, nil
 }
 
 func (cfg PipelineConfig) withDefaults() PipelineConfig {
@@ -869,10 +880,10 @@ func (cfg *PipelineConfig) profileConfig() ProfileConfig {
 	}
 }
 
-// adviseAndExecute is the Stage 3+4 tail of a pipeline run, shared by
-// Pipeline and the sweep engine so a memoized-profile sweep cannot
+// advise is Stage 3 of a pipeline run and execute is Stage 4. Both are
+// shared by Pipeline and the sweep engine, so a memoized sweep cannot
 // drift from the serial path.
-func adviseAndExecute(w *Workload, cfg PipelineConfig, tr *Trace, profRun *RunResult, prof *ObjectProfile) (*PipelineResult, error) {
+func advise(cfg PipelineConfig, prof *ObjectProfile) (*PlacementReport, error) {
 	ctx := cfg.ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -902,6 +913,10 @@ func adviseAndExecute(w *Workload, cfg PipelineConfig, tr *Trace, profRun *RunRe
 	if err != nil {
 		return nil, fmt.Errorf("hybridmem: advise stage: %w", err)
 	}
+	return rep, nil
+}
+
+func execute(w *Workload, cfg PipelineConfig, rep *PlacementReport) (*RunResult, error) {
 	// The production run uses a different seed half: same program,
 	// different ASLR layout — translation must bridge it.
 	res, err := Execute(w, rep, cfg.Interpose, ExecuteConfig{
@@ -912,7 +927,5 @@ func adviseAndExecute(w *Workload, cfg PipelineConfig, tr *Trace, profRun *RunRe
 	if err != nil {
 		return nil, fmt.Errorf("hybridmem: execute stage: %w", err)
 	}
-	return &PipelineResult{
-		Trace: tr, ProfilingRun: profRun, Profile: prof, Report: rep, Run: res,
-	}, nil
+	return res, nil
 }

@@ -140,19 +140,25 @@ type PackEvent struct {
 
 // CellEvent records one sweep cell's lifecycle (ev "cell"): which grid
 // cell ran, whether its profiling artifact came from the memo table,
-// which worker executed it and how long it took. worker and wall_ns
-// are the trace's only scheduling-dependent fields.
+// whether it ran its production run or shared another cell's, which
+// worker executed it and how long it took. worker and wall_ns are the
+// trace's only scheduling-dependent fields.
 type CellEvent struct {
 	Header
-	Cell   int    `json:"cell"`
-	Label  string `json:"label"`
-	Kind   string `json:"kind"` // pipeline | baseline | online
-	Memo   string `json:"memo"` // MemoHit | MemoMiss | MemoNone
+	Cell  int    `json:"cell"`
+	Label string `json:"label"`
+	Kind  string `json:"kind"` // pipeline | baseline | online
+	Memo  string `json:"memo"` // MemoHit | MemoMiss | MemoNone
+	// Exec is the execute disposition: MemoMiss for the cell that ran
+	// the production run of its placement, MemoHit for a cell sharing
+	// it, MemoNone for cells without a shared execute stage.
+	Exec   string `json:"exec"`
 	Worker int    `json:"worker"`
 	WallNS int64  `json:"wall_ns"`
 }
 
-// Memo dispositions of a sweep cell's profiling artifact.
+// Memo dispositions of a sweep cell's shared stages: its profiling
+// artifact (CellEvent.Memo) and its production run (CellEvent.Exec).
 const (
 	MemoHit  = "hit"
 	MemoMiss = "miss"

@@ -166,9 +166,9 @@ func TestSummarizeDigest(t *testing.T) {
 	r.EmitGate(GateEvent{Epoch: 1, Decision: DecisionReject, Moves: 1, MoveBytes: 512, CostRatio: 4.0})
 	r.EmitSolver(SolverEvent{Strategy: "exact", Nodes: 100, Pruned: 40})
 	r.EmitPack(PackEvent{Tier: "MCDRAM"})
-	r.EmitCell(CellEvent{Cell: 0, Memo: MemoMiss})
-	r.EmitCell(CellEvent{Cell: 1, Memo: MemoHit})
-	r.EmitCell(CellEvent{Cell: 2, Memo: MemoNone})
+	r.EmitCell(CellEvent{Cell: 0, Memo: MemoMiss, Exec: MemoMiss})
+	r.EmitCell(CellEvent{Cell: 1, Memo: MemoHit, Exec: MemoHit})
+	r.EmitCell(CellEvent{Cell: 2, Memo: MemoNone, Exec: MemoNone})
 
 	s, err := Summarize(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -198,6 +198,7 @@ func TestSummarizeDigest(t *testing.T) {
 		Cells:              3,
 		MemoHits:           1,
 		MemoMisses:         1,
+		ExecShared:         1,
 	}
 	if !reflect.DeepEqual(s, want) {
 		t.Fatalf("digest mismatch:\n got %+v\nwant %+v", s, want)
@@ -207,7 +208,7 @@ func TestSummarizeDigest(t *testing.T) {
 	if err := s.WriteText(&out); err != nil {
 		t.Fatalf("WriteText: %v", err)
 	}
-	for _, needle := range []string{"9 events", "1 ACCEPT", "1 REJECT", "100 nodes", "memo hit"} {
+	for _, needle := range []string{"9 events", "1 ACCEPT", "1 REJECT", "100 nodes", "memo hit", "1 shared execute"} {
 		if !strings.Contains(out.String(), needle) {
 			t.Fatalf("digest text missing %q:\n%s", needle, out.String())
 		}

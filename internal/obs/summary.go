@@ -44,10 +44,12 @@ type Summary struct {
 	// Waterfall packing.
 	PackSteps int64
 
-	// Sweep cells.
+	// Sweep cells. ExecShared counts cells that shared another cell's
+	// production run (execute disposition MemoHit).
 	Cells      int64
 	MemoHits   int64
 	MemoMisses int64
+	ExecShared int64
 
 	// Robustness: solver degradations and failed sweep cells.
 	Degrades     int64
@@ -141,6 +143,9 @@ func Summarize(r io.Reader) (*Summary, error) {
 			case MemoMiss:
 				s.MemoMisses++
 			}
+			if e.Exec == MemoHit {
+				s.ExecShared++
+			}
 		case "degrade":
 			s.Degrades++
 		case "cell_failed":
@@ -210,8 +215,8 @@ func (s *Summary) WriteText(w io.Writer) error {
 		fmt.Fprintf(w, "waterfall: %d packing step(s)\n", s.PackSteps)
 	}
 	if s.Cells > 0 {
-		fmt.Fprintf(w, "sweep: %d cell(s) — %d profile memo hit(s), %d miss(es)\n",
-			s.Cells, s.MemoHits, s.MemoMisses)
+		fmt.Fprintf(w, "sweep: %d cell(s) — %d profile memo hit(s), %d miss(es), %d shared execute(s)\n",
+			s.Cells, s.MemoHits, s.MemoMisses, s.ExecShared)
 	}
 	if s.Degrades > 0 {
 		fmt.Fprintf(w, "robustness: %d solver degradation(s) to a greedy fallback\n", s.Degrades)

@@ -1,8 +1,8 @@
 // Package sweep is the deterministic parallel grid runner behind the
 // root package's Sweep facade. The paper's whole evaluation is
 // sweep-shaped — Figure 4 alone is an (application × budget ×
-// strategy) grid of full pipeline runs — and two structural facts make
-// those grids embarrassingly parallel AND heavily redundant:
+// strategy) grid of full pipeline runs — and three structural facts
+// make those grids embarrassingly parallel AND heavily redundant:
 //
 //  1. Every simulated run is a pure function of its configuration
 //     (explicit seeds, no global state), so grid cells can execute on
@@ -13,12 +13,22 @@
 //     alloc size, ref scale) — not on the budget or strategy being
 //     swept — so an entire budget×strategy plane shares one profiling
 //     artifact.
+//  3. The production run of a pipeline cell depends only on that
+//     profiling configuration and on the placement the advisor chose —
+//     not on which strategy or budget chose it — and most cells of a
+//     plane choose the same objects, so each distinct placement needs
+//     simulating once.
 //
-// Grid encodes exactly those two facts: cells fan out across a bounded
+// Grid encodes the first two facts: cells fan out across a bounded
 // worker pool, per-key setup artifacts are computed once and shared
 // via a promise table, and results return indexed by cell so ordering
-// is scheduling-independent. Everything domain-specific (what a
-// profile is, what a cell computes) stays with the caller.
+// is scheduling-independent. The third is the caller's second Grid
+// round: a placement is known only after its cell has advised, so the
+// root facade runs every cell's advise in one round and, in a keyless
+// round over the same cell indices, one production run per distinct
+// placement, owned by the lowest cell index carrying it. Everything
+// domain-specific (what a profile is, what a cell computes) stays with
+// the caller.
 package sweep
 
 import (
@@ -93,12 +103,13 @@ func Join(errs []error) error {
 //
 // For each cell, keyOf names the setup artifact it needs; the first
 // cell to claim a key computes setup once and every other cell with
-// that key blocks on (and then shares) the same artifact. point then
-// computes the cell's result from the artifact; it also receives the
-// index of the pool worker executing the cell (0 on the serial path) —
-// observability data for the flight recorder's cell events, and
-// scheduling-dependent, so a pure point must not let it influence the
-// result. Both callbacks must be pure with respect to the cell index —
+// that key blocks on (and then shares) the same artifact. A nil keyOf
+// means no cell has a setup stage (setup may then be nil as well).
+// point then computes the cell's result from the artifact; it also
+// receives the index of the pool worker executing the cell (0 on the
+// serial path) — observability data for the flight recorder's cell
+// events, and scheduling-dependent, so a pure point must not let it
+// influence the result. Both callbacks must be pure with respect to the cell index —
 // given that, the returned slice is bit-identical to the serial loop
 //
 //	for i := range n { results[i] = point(i, 0, setup(i)) }
@@ -136,6 +147,9 @@ func GridCtx[A, R any](ctx context.Context, n, workers int, keyOf func(int) Key,
 	}
 	if workers > n {
 		workers = n
+	}
+	if keyOf == nil {
+		keyOf = func(int) Key { return "" }
 	}
 
 	var mu sync.Mutex

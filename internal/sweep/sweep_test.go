@@ -93,6 +93,14 @@ func TestGridEmptyKeySkipsSetup(t *testing.T) {
 	if results[3] != "r3" {
 		t.Errorf("results[3] = %q", results[3])
 	}
+
+	// A nil keyOf means no cell has a setup stage, so setup may be nil.
+	results, err = Grid(5, 2, nil, nil, func(i, _ int, a string) (string, error) {
+		return fmt.Sprintf("r%d", i), nil
+	})
+	if err != nil || results[4] != "r4" {
+		t.Errorf("nil keyOf: results = %q, err = %v", results, err)
+	}
 }
 
 // TestGridReportsLowestFailedCell checks deterministic error selection

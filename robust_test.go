@@ -10,10 +10,12 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	hm "repro"
+	"repro/internal/advisor"
 	"repro/internal/units"
 )
 
@@ -201,6 +203,112 @@ func TestChaosSweepAllocFaultFailsCell(t *testing.T) {
 	}
 	if n := fault.Counts()[hm.FaultAllocFail]; n == 0 {
 		t.Error("fired tally records no allocation faults")
+	}
+}
+
+// TestChaosSweepAllocVictimNeverSharesExecute checks chaos isolation
+// of the execute memo: m0/32 and density/32 advise the same placement,
+// so a clean sweep runs their production run once. When allocation
+// faults strike one of them — as the run's owner (lowest cell index)
+// or as its sharer — the victim must fail alone with its injected
+// error and the untouched sibling must run its own production run,
+// bit-identical to the fault-free sweep.
+func TestChaosSweepAllocVictimNeverSharesExecute(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs full pipeline cells, not -short")
+	}
+	w, err := hm.WorkloadByName("minife")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := hm.MachineFor(w)
+	pts := []hm.SweepPoint{
+		hm.PipelinePoint("m0/32", w, hm.PipelineConfig{Machine: m, Seed: 21, Budget: 32 * units.MB, RefScale: 0.25}),
+		hm.PipelinePoint("density/32", w, hm.PipelineConfig{Machine: m, Seed: 21, Budget: 32 * units.MB, Strategy: hm.StrategyDensity, RefScale: 0.25}),
+	}
+	clean, err := hm.RunSweep(pts, hm.SweepOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clean[0].Run != clean[1].Run {
+		t.Fatal("the two cells no longer share a production run in a clean sweep; the test needs a same-placement pair")
+	}
+	spec := hm.FaultSpec{AllocFails: 1, AllocFailEvery: 1}
+	for victim, role := range []string{"owner", "sharer"} {
+		// The first seed whose plan strikes the wanted cell.
+		seed := uint64(1)
+		for ; !hm.NewFaultInjector(seed, spec).Victims(hm.FaultAllocFail, len(pts))[victim]; seed++ {
+			if seed == 100 {
+				t.Fatalf("no seed below 100 strikes the %s", role)
+			}
+		}
+		sibling := 1 - victim
+		fault := hm.NewFaultInjector(seed, spec)
+		res, err := hm.RunSweep(pts, hm.SweepOptions{Workers: 2, Fault: fault})
+		if !errors.Is(err, hm.ErrFaultInjected) {
+			t.Fatalf("victim as %s: err = %v, want the injected allocation failure", role, err)
+		}
+		if !errors.Is(res[victim].Err, hm.ErrFaultInjected) || res[victim].Run != nil {
+			t.Errorf("victim as %s: victim cell Err = %v, Run = %v; want an injected failure and no run", role, res[victim].Err, res[victim].Run)
+		}
+		if res[sibling].Err != nil {
+			t.Errorf("victim as %s: sibling failed: %v", role, res[sibling].Err)
+		} else if !reflect.DeepEqual(res[sibling].Run, clean[sibling].Run) {
+			t.Errorf("victim as %s: sibling diverged from the fault-free sweep", role)
+		}
+		if fault.Counts()[hm.FaultAllocFail] == 0 {
+			t.Errorf("victim as %s: fired tally records no allocation faults", role)
+		}
+	}
+}
+
+// cancelAfterSelect is a strategy that cancels the sweep's context
+// once it has chosen its objects, so the cancellation lands between
+// the sweep's advise round and its execute round.
+type cancelAfterSelect struct {
+	hm.Strategy
+	cancel context.CancelFunc
+}
+
+func (s cancelAfterSelect) Select(objs []advisor.Object, budget int64) []advisor.Object {
+	defer s.cancel()
+	return s.Strategy.Select(objs, budget)
+}
+
+// TestChaosSweepCanceledBetweenRounds checks cancellation between the
+// sweep's rounds: the last cell's advise cancels the context, so every
+// cell has advised but no production run has started. The baseline
+// cell keeps its result; the owner of the shared placement fails with
+// ErrCanceled, and its sharer gets that error wrapped under its own
+// label.
+func TestChaosSweepCanceledBetweenRounds(t *testing.T) {
+	w, err := hm.WorkloadByName("minife")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := hm.MachineFor(w)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	pts := []hm.SweepPoint{
+		hm.BaselinePoint("ddr", w, hm.BaselineDDR, hm.ExecuteConfig{Machine: m, Seed: 21, RefScale: 0.25}),
+		hm.PipelinePoint("m0/32", w, hm.PipelineConfig{Machine: m, Seed: 21, Budget: 32 * units.MB, RefScale: 0.25}),
+		hm.PipelinePoint("density/32", w, hm.PipelineConfig{Machine: m, Seed: 21, Budget: 32 * units.MB, RefScale: 0.25,
+			Strategy: cancelAfterSelect{Strategy: hm.StrategyDensity, cancel: cancel}}),
+	}
+	res, err := hm.RunSweepCtx(ctx, pts, hm.SweepOptions{Workers: 1})
+	if !errors.Is(err, hm.ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+	if res[0].Err != nil || res[0].Run == nil {
+		t.Errorf("baseline cell: Err = %v, Run = %v; want its completed run", res[0].Err, res[0].Run)
+	}
+	for _, i := range []int{1, 2} {
+		if !errors.Is(res[i].Err, hm.ErrCanceled) || !errors.Is(res[i].Err, context.Canceled) || res[i].Run != nil {
+			t.Errorf("cell %d (%s): Err = %v, Run = %v; want ErrCanceled and no run", i, pts[i].Label, res[i].Err, res[i].Run)
+		}
+	}
+	if msg := res[2].Err.Error(); !strings.HasPrefix(msg, `hybridmem: sweep "density/32": `) || !strings.Contains(msg, res[1].Err.Error()) {
+		t.Errorf("sharer error %q does not wrap the owner's error %q under its own label", msg, res[1].Err)
 	}
 }
 

@@ -1,7 +1,7 @@
 package hybridmem
 
-// The sweep engine: profile-once/advise-many over arbitrary
-// (workload × machine × budget × strategy) grids.
+// The sweep engine: profile-once/advise-many/execute-once-per-placement
+// over arbitrary (workload × machine × budget × strategy) grids.
 //
 // The paper's evaluation is sweep-shaped — Figure 4 is an (application
 // × budget × strategy) grid of full pipeline runs, the N-tier and
@@ -10,8 +10,17 @@ package hybridmem
 // depends only on the profiling configuration, not on what the advisor
 // later does with it. RunSweep splits every pipeline cell at exactly
 // that boundary: Profile+Analyze artifacts are memoized per profiling
-// key and the advise+execute tails (plus baseline and online cells,
-// which have no profile stage) fan out across a bounded worker pool.
+// key and the advise steps (plus baseline and online cells, which have
+// no profile stage) fan out across a bounded worker pool.
+//
+// The same argument holds one stage later: the production run depends
+// only on the profiling configuration and the placement the advisor
+// chose, not on which strategy or budget chose it, and most cells of a
+// budget×strategy plane choose the same objects. So the execute stage
+// runs once per distinct placement key (executeKey), in a second grid
+// round after every cell has advised, and its result is shared by
+// every cell carrying the key.
+//
 // Because every simulated run is a pure function of its configuration,
 // the results are bit-identical to the serial loop, regardless of
 // worker count — pinned by TestSweepMatchesSerialLoop.
@@ -23,6 +32,7 @@ import (
 	"runtime"
 	"time"
 
+	"repro/internal/advisor"
 	"repro/internal/advisord"
 	"repro/internal/engine"
 	"repro/internal/faultinject"
@@ -69,24 +79,26 @@ func OnlinePoint(label string, w *Workload, cfg OnlineConfig) SweepPoint {
 type SweepResult struct {
 	Label string
 	// Run is the cell's final execution result (Pipeline.Run for
-	// pipeline cells).
+	// pipeline cells). A pipeline cell's Run is SHARED — the same
+	// pointer — with every cell of the sweep whose execute key is equal
+	// (same profiling configuration, same placement, same interposer
+	// options); treat it as read-only.
 	Run *RunResult
 	// Pipeline carries every stage artifact for pipeline cells; its
 	// Trace/ProfilingRun/Profile are SHARED with every cell that
-	// memoized the same profiling configuration.
+	// memoized the same profiling configuration, and its Run with every
+	// cell of equal execute key. Report is the cell's own.
 	Pipeline *PipelineResult
-	// Wall is the wall-clock time of this cell's own work: the
-	// advise+execute tail for pipeline cells, the whole run otherwise.
+	// Wall is the wall-clock time of this cell's own work: for
+	// pipeline cells the advise step plus, for the cell that owns its
+	// execute key, the shared production run (a sharing cell's Wall is
+	// its advise time only); the whole run otherwise.
 	Wall time.Duration
 	// ProfileWall is the wall-clock cost of the memoized Profile+
 	// Analyze artifact this cell used (zero for baseline/online cells).
 	// Cells sharing a profile report the same value — sum it once per
 	// distinct profile, not per cell.
 	ProfileWall time.Duration
-	// Refs is the number of simulated memory references of the final
-	// run (SimulatedRefs of Run) — the numerator of a refs/sec
-	// throughput over Wall.
-	Refs int64
 	// Err is this cell's failure, nil for a healthy cell. A failed
 	// cell never takes the sweep down: a recovered panic lands here as
 	// an ErrCellPanic-wrapped CellPanicError, a cancellation as an
@@ -103,19 +115,24 @@ type SweepOptions struct {
 	// stream: each cell's run events are captured into a private
 	// buffered recorder while the cell executes on whatever worker the
 	// pool chose, then flushed in cell order once the grid completes,
-	// prefixed by a cell event carrying the cell's label, memo
-	// disposition and (scheduling-dependent, for observability only)
-	// worker id and wall time. The shared profiling runs themselves are
-	// not traced — their owner is scheduling-dependent — so the stream
-	// is byte-identical across worker counts except for the cell
-	// events' "worker" and "wall_ns" fields. Any Obs recorder set on a
-	// point's own config is replaced for the duration of the sweep.
+	// prefixed by a cell event carrying the cell's label, profile memo
+	// and execute dispositions and (scheduling-dependent, for
+	// observability only) worker id and wall time. The shared profiling
+	// runs themselves are not traced — their owner is
+	// scheduling-dependent — while a shared production run is traced
+	// into its owner's buffer only (the owner is the lowest cell index
+	// carrying the execute key, fixed by cell order). So the stream is
+	// byte-identical across worker counts except for the cell events'
+	// "worker" and "wall_ns" fields. Any Obs recorder set on a point's
+	// own config is replaced for the duration of the sweep.
 	Obs *FlightRecorder
 	// Fault, when non-nil, arms the seeded chaos plan: victim cells
 	// and profiling keys are selected deterministically from the seed
 	// (never from scheduling), injected failures land in per-cell Err
 	// slots, and untouched cells stay bit-identical to a fault-free
-	// sweep. Production sweeps leave it nil at zero cost.
+	// sweep: a cell whose production run the plan perturbs (allocation
+	// failures, epoch stalls) never shares that run with another cell.
+	// Production sweeps leave it nil at zero cost.
 	Fault *FaultInjector
 	// Cache, when non-nil, adds a persistent tier under the in-process
 	// profile memo: Profile+Analyze artifacts are looked up in (and
@@ -159,15 +176,38 @@ func profileKey(w *Workload, cfg *PipelineConfig) sweep.Key {
 	return sweep.Key(advisord.ProfileKey(w, params))
 }
 
+// executeKey derives the execute-memo key of a pipeline cell: its
+// profiling key plus the canonical encoding of everything the
+// production run reads from the advice — the report's Entries, Budget,
+// Tiers and LBSize/UBSize — and the interposer options. The report
+// header (App, Strategy) and its Degraded marker are left out because
+// the interposer never reads them; that is what lets cells of
+// different strategies or budgets that chose the same placement share
+// one run. The profiling key already covers the workload, Machine,
+// Cores, Seed and RefScale the production run is configured with. The
+// raw canonical bytes are the key, not a hash of them, so a collision
+// can never hand a cell another placement's result.
+func executeKey(pk sweep.Key, rep *PlacementReport, opts InterposeOptions) string {
+	return string(pk) + "\x00" + string(obs.CanonicalBytes(struct {
+		Entries        []advisor.Entry
+		Budget         int64
+		Tiers          []advisor.TierBudget
+		LBSize, UBSize int64
+		Interpose      InterposeOptions
+	}{rep.Entries, rep.Budget, rep.Tiers, rep.LBSize, rep.UBSize, opts}))
+}
+
 // RunSweep executes every point of a sweep grid and returns the
 // results in point order. Pipeline cells sharing a profiling
-// configuration share one Profile+Analyze computation; all cells fan
-// out across the worker pool. Results are identical to running the
-// cells serially in order (Pipeline / RunBaseline / RunOnline per
-// cell).
+// configuration share one Profile+Analyze computation, and pipeline
+// cells sharing an execute key (executeKey) share one production run;
+// all cells fan out across the worker pool. Results are identical to
+// running the cells serially in order (Pipeline / RunBaseline /
+// RunOnline per cell).
 //
 // A failing cell — organic error, injected fault, or recovered panic
-// — fails only itself: its error lands in its result's Err field,
+// — fails only itself (and, for a failed shared production run, the
+// cells sharing it): its error lands in its result's Err field,
 // every other cell completes bit-identical to a clean sweep, and the
 // returned error aggregates all cell errors in cell order (the lowest
 // failed index stays the primary for errors.Is). Malformed points are
@@ -208,12 +248,15 @@ func RunSweepCtx(ctx context.Context, points []SweepPoint, opts SweepOptions) ([
 		cfgs[i] = p
 	}
 
-	keyOf := func(i int) sweep.Key {
-		if cfgs[i].Pipeline == nil {
-			return "" // no shared setup stage
+	// Profiling keys, derived once per cell ("" = no shared setup
+	// stage).
+	keys := make([]sweep.Key, len(cfgs))
+	for i := range cfgs {
+		if cfgs[i].Pipeline != nil {
+			keys[i] = profileKey(cfgs[i].Workload, cfgs[i].Pipeline)
 		}
-		return profileKey(cfgs[i].Workload, cfgs[i].Pipeline)
 	}
+	keyOf := func(i int) sweep.Key { return keys[i] }
 
 	// Canonical distinct-key table: keyOrd numbers each profiling key
 	// by first appearance in cell order, firstCell remembers which cell
@@ -223,8 +266,7 @@ func RunSweepCtx(ctx context.Context, points []SweepPoint, opts SweepOptions) ([
 	// are scheduling-independent.
 	keyOrd := make(map[sweep.Key]int)
 	firstCell := make(map[sweep.Key]int)
-	for i := range cfgs {
-		k := keyOf(i)
+	for i, k := range keys {
 		if k == "" {
 			continue
 		}
@@ -245,34 +287,48 @@ func RunSweepCtx(ctx context.Context, points []SweepPoint, opts SweepOptions) ([
 	allocVictims := opts.Fault.Victims(faultinject.AllocFail, len(cfgs))
 	delayVictims := opts.Fault.Victims(faultinject.EpochDelay, len(cfgs))
 
-	// Tracing: every cell records into a private buffer, flushed in
-	// cell order after the grid returns.
-	var cellObs []*obs.Recorder
-	var memo []string
-	var cellWorker []int
-	if opts.Obs != nil {
-		cellObs = make([]*obs.Recorder, len(cfgs))
-		memo = make([]string, len(cfgs))
-		cellWorker = make([]int, len(cfgs))
+	// Engine-level faults run under a per-cell scope so ordinal
+	// triggers (every Nth allocation / epoch) count per cell, not per
+	// process — deterministic regardless of scheduling. Solver
+	// starvation is global: every exact cell's node budget clamps. A
+	// cell whose scope carries an engine fault is isolated: its
+	// production run is perturbed, so it never shares one.
+	cellFault := make([]*FaultInjector, len(cfgs))
+	isolated := make([]bool, len(cfgs))
+	if opts.Fault != nil {
 		for i := range cfgs {
-			cellObs[i] = obs.NewBuffer()
-			switch k := keyOf(i); {
-			case k == "":
-				memo[i] = obs.MemoNone
-			case firstCell[k] == i:
-				memo[i] = obs.MemoMiss
-			default:
-				memo[i] = obs.MemoHit
+			pts := []faultinject.Point{faultinject.SolverStarve}
+			if allocVictims != nil && allocVictims[i] {
+				pts = append(pts, faultinject.AllocFail)
+				isolated[i] = true
 			}
+			if delayVictims != nil && delayVictims[i] {
+				pts = append(pts, faultinject.EpochDelay)
+				isolated[i] = true
+			}
+			cellFault[i] = opts.Fault.Scope(fmt.Sprintf("cell-%d", i), pts...)
 		}
 	}
 
-	// One simulator-state pool per worker: sweep.Grid hands point() the
-	// worker index that runs the cell, and no worker executes two cells
-	// concurrently, so each pool is single-threaded by construction.
-	// Pooled runs are bit-identical to unpooled ones (engine.Pool), so
-	// this cannot perturb the sweep's bit-identical-to-serial contract.
-	// The clamp mirrors sweep.Grid's so pools[worker] is always valid.
+	// Tracing: every cell records into a private buffer, flushed in
+	// cell order after both rounds return.
+	var cellObs []*obs.Recorder
+	var cellWorker []int
+	if opts.Obs != nil {
+		cellObs = make([]*obs.Recorder, len(cfgs))
+		cellWorker = make([]int, len(cfgs))
+		for i := range cfgs {
+			cellObs[i] = obs.NewBuffer()
+		}
+	}
+
+	// One simulator-state pool per worker: sweep.GridCtx hands point()
+	// the worker index that runs the cell, and no worker executes two
+	// cells concurrently, so each pool is single-threaded by
+	// construction; the two rounds never overlap. Pooled runs are
+	// bit-identical to unpooled ones (engine.Pool), so this cannot
+	// perturb the sweep's bit-identical-to-serial contract. The clamp
+	// mirrors sweep.GridCtx's so pools[worker] is always valid.
 	nWorkers := opts.Workers
 	if nWorkers <= 0 {
 		nWorkers = runtime.GOMAXPROCS(0)
@@ -285,6 +341,18 @@ func RunSweepCtx(ctx context.Context, points []SweepPoint, opts SweepOptions) ([
 		pools[i] = engine.NewPool()
 	}
 
+	// pipelineCfg is cell i's pipeline configuration as run on worker.
+	pipelineCfg := func(i, worker int) PipelineConfig {
+		cfg := *cfgs[i].Pipeline
+		cfg.pool = pools[worker]
+		cfg.ctx = ctx
+		cfg.fault = cellFault[i]
+		if cellObs != nil {
+			cfg.Obs = cellObs[i]
+		}
+		return cfg
+	}
+
 	setup := func(i int) (*profiled, error) {
 		p := cfgs[i]
 		start := time.Now()
@@ -295,7 +363,7 @@ func RunSweepCtx(ctx context.Context, points []SweepPoint, opts SweepOptions) ([
 		// stay scheduling-independent. The profiling run is untraced
 		// for the same reason: its events would land in the buffer of
 		// whichever sharer's goroutine claimed the promise first.
-		if setupVictims != nil && setupVictims[keyOrd[keyOf(i)]] {
+		if setupVictims != nil && setupVictims[keyOrd[keys[i]]] {
 			// Named after the key's content (workload + seed, identical
 			// for all sharers), like organic setup errors.
 			return nil, fmt.Errorf("hybridmem: sweep %s (seed %d): profile stage: %w",
@@ -304,7 +372,7 @@ func RunSweepCtx(ctx context.Context, points []SweepPoint, opts SweepOptions) ([
 		pc := p.Pipeline.profileConfig()
 		pc.Obs = nil
 		pc.ctx = ctx
-		key := string(keyOf(i))
+		key := string(keys[i])
 		if opts.Cache != nil {
 			if files, ok := opts.Cache.Get(key); ok {
 				if art, derr := advisord.DecodeProfileArtifact(files); derr == nil {
@@ -333,6 +401,11 @@ func RunSweepCtx(ctx context.Context, points []SweepPoint, opts SweepOptions) ([
 		}
 		return &profiled{trace: tr, run: profRun, prof: prof, wall: time.Since(start)}, nil
 	}
+
+	// Round 1: baseline and online cells run whole; pipeline cells run
+	// the (memoized) profile and their own advise step, and record the
+	// execute key of the placement they chose.
+	execKeys := make([]string, len(cfgs))
 	point := func(i, worker int, art *profiled) (SweepResult, error) {
 		p := cfgs[i]
 		res := SweepResult{Label: p.Label}
@@ -346,43 +419,26 @@ func RunSweepCtx(ctx context.Context, points []SweepPoint, opts SweepOptions) ([
 			return res, fmt.Errorf("hybridmem: sweep %q: %w", p.Label,
 				opts.Fault.Errorf(faultinject.SweepCellError, "cell %d refused", i))
 		}
-		// Engine-level faults run under a per-cell scope so ordinal
-		// triggers (every Nth allocation / epoch) count per cell, not
-		// per process — deterministic regardless of scheduling. Solver
-		// starvation is global: every exact cell's node budget clamps.
-		var cellFault *FaultInjector
-		if opts.Fault != nil {
-			pts := []faultinject.Point{faultinject.SolverStarve}
-			if allocVictims != nil && allocVictims[i] {
-				pts = append(pts, faultinject.AllocFail)
-			}
-			if delayVictims != nil && delayVictims[i] {
-				pts = append(pts, faultinject.EpochDelay)
-			}
-			cellFault = opts.Fault.Scope(fmt.Sprintf("cell-%d", i), pts...)
-		}
 		start := time.Now()
 		switch {
 		case p.Pipeline != nil:
-			cfg := *p.Pipeline
-			cfg.pool = pools[worker]
-			cfg.ctx = ctx
-			cfg.fault = cellFault
-			if cellObs != nil {
-				cfg.Obs = cellObs[i]
-			}
-			pr, err := adviseAndExecute(p.Workload, cfg, art.trace, art.run, art.prof)
+			rep, err := advise(pipelineCfg(i, worker), art.prof)
 			if err != nil {
 				return res, fmt.Errorf("hybridmem: sweep %q: %w", p.Label, err)
 			}
-			res.Pipeline = pr
-			res.Run = pr.Run
+			res.Pipeline = &PipelineResult{
+				Trace: art.trace, ProfilingRun: art.run, Profile: art.prof, Report: rep,
+			}
 			res.ProfileWall = art.wall
+			execKeys[i] = executeKey(keys[i], rep, p.Pipeline.Interpose)
+			if isolated[i] {
+				execKeys[i] += fmt.Sprintf("\x00isolated cell %d", i)
+			}
 		case p.Baseline != nil:
 			bc := p.Baseline.Config
 			bc.pool = pools[worker]
 			bc.ctx = ctx
-			bc.fault = cellFault
+			bc.fault = cellFault[i]
 			if cellObs != nil {
 				bc.Obs = cellObs[i]
 			}
@@ -395,7 +451,7 @@ func RunSweepCtx(ctx context.Context, points []SweepPoint, opts SweepOptions) ([
 			oc := *p.Online
 			oc.pool = pools[worker]
 			oc.ctx = ctx
-			oc.fault = cellFault
+			oc.fault = cellFault[i]
 			if cellObs != nil {
 				oc.Obs = cellObs[i]
 			}
@@ -406,10 +462,65 @@ func RunSweepCtx(ctx context.Context, points []SweepPoint, opts SweepOptions) ([
 			res.Run = r
 		}
 		res.Wall = time.Since(start)
-		res.Refs = SimulatedRefs(res.Run)
 		return res, nil
 	}
 	results, errs := sweep.GridCtx(ctx, len(cfgs), opts.Workers, keyOf, setup, point)
+
+	// Round 2: one production run per distinct execute key. Keys exist
+	// only once round 1 has advised, so the owner table is built here
+	// in cell order: the lowest cell index carrying a key owns it and
+	// runs the execute with its own recorder, fault scope and context,
+	// on the pool of the worker that picks it up. The owner is fixed by
+	// cell order, not by scheduling, so traces stay worker-count
+	// invariant, and no worker ever waits on another worker's run.
+	// Cells that are not owners return at once.
+	execOwner := make([]int, len(cfgs))
+	owners := make(map[string]int)
+	for i := range cfgs {
+		execOwner[i] = -1
+		if cfgs[i].Pipeline == nil || errs[i] != nil {
+			continue
+		}
+		o, ok := owners[execKeys[i]]
+		if !ok {
+			o = i
+			owners[execKeys[i]] = i
+		}
+		execOwner[i] = o
+	}
+	execWall := make([]time.Duration, len(cfgs))
+	runs, execErrs := sweep.GridCtx(ctx, len(cfgs), opts.Workers, nil, nil,
+		func(i, worker int, _ struct{}) (*RunResult, error) {
+			if execOwner[i] != i {
+				return nil, nil
+			}
+			start := time.Now()
+			r, err := execute(cfgs[i].Workload, pipelineCfg(i, worker), results[i].Pipeline.Report)
+			execWall[i] = time.Since(start)
+			if err != nil {
+				return nil, fmt.Errorf("hybridmem: sweep %q: %w", cfgs[i].Label, err)
+			}
+			return r, nil
+		})
+	for i, o := range execOwner {
+		switch {
+		case o < 0:
+			// no production run: a baseline, online or failed cell
+		case execErrs[o] == nil:
+			results[i].Run = runs[o]
+			results[i].Pipeline.Run = runs[o]
+			if i == o {
+				results[i].Wall += execWall[i]
+			}
+		case i == o:
+			results[i], errs[i] = SweepResult{}, execErrs[o]
+		default:
+			// A recovered panic keeps the owner's cell index, so every
+			// sharer names the cell whose run crashed.
+			results[i], errs[i] = SweepResult{}, fmt.Errorf("hybridmem: sweep %q: %w", cfgs[i].Label, execErrs[o])
+		}
+	}
+
 	for i := range results {
 		// A panicking or never-started cell returns the zero result —
 		// restore its label and attach its error.
@@ -417,7 +528,9 @@ func RunSweepCtx(ctx context.Context, points []SweepPoint, opts SweepOptions) ([
 		results[i].Err = errs[i]
 	}
 	// Flush cell buffers in cell order even on a failed sweep — the
-	// partial trace is exactly what post-mortems want.
+	// partial trace is exactly what post-mortems want. Both memo
+	// dispositions come from the canonical cell-order tables, never
+	// from scheduling.
 	if opts.Obs != nil {
 		for i := range cfgs {
 			kind := "online"
@@ -431,7 +544,8 @@ func RunSweepCtx(ctx context.Context, points []SweepPoint, opts SweepOptions) ([
 				Cell:   i,
 				Label:  cfgs[i].Label,
 				Kind:   kind,
-				Memo:   memo[i],
+				Memo:   memoDisposition(firstCell[keys[i]], i, keys[i] != ""),
+				Exec:   memoDisposition(execOwner[i], i, execOwner[i] >= 0),
 				Worker: cellWorker[i],
 				WallNS: results[i].Wall.Nanoseconds(),
 			})
@@ -448,6 +562,20 @@ func RunSweepCtx(ctx context.Context, points []SweepPoint, opts SweepOptions) ([
 		}
 	}
 	return results, sweep.Join(errs)
+}
+
+// memoDisposition is a cell's trace disposition for a shared stage
+// owned by cell owner: MemoMiss for the owner, MemoHit for a sharer,
+// MemoNone when the cell has no such stage.
+func memoDisposition(owner, cell int, hasStage bool) string {
+	switch {
+	case !hasStage:
+		return obs.MemoNone
+	case owner == cell:
+		return obs.MemoMiss
+	default:
+		return obs.MemoHit
+	}
 }
 
 // SimulatedRefs sums the memory references a run simulated — the
